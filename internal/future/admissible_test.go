@@ -1,9 +1,9 @@
 // Admissibility property tests: future costs must never exceed the true
 // remaining cost, or goal-oriented searches built on them return
-// non-optimal trees while claiming certificates. Both estimators are
-// checked against the Dreyfus–Wagner DP of internal/exact on seeded
-// random instances — the DP's LowerBound is the true optimum of the
-// completion problem each estimate claims to bound.
+// non-optimal trees while claiming certificates. The mask-aware
+// estimator is checked against the Dreyfus–Wagner DP of internal/exact
+// on seeded random instances — the DP's LowerBound is the true optimum
+// of the completion problem each estimate claims to bound.
 //
 // This file is an external test package: internal/exact imports
 // internal/future for its mask-aware bounds, so the cross-check must
@@ -104,47 +104,6 @@ func TestMaskEstimatorAdmissible(t *testing.T) {
 			if got > want+1e-9*(1+want) {
 				t.Fatalf("it %d: Est(%b, %v) = %v exceeds completion optimum %v",
 					it, mask, in.G.Pt(v), got, want)
-			}
-		}
-	}
-}
-
-// TestEstimatorAdmissible checks the existing single-target estimator
-// (with and without landmark sharpening) against the true shortest
-// cost-plus-weighted-delay path to the target, computed by the DP on a
-// single-sink instance.
-func TestEstimatorAdmissible(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 23))
-	for it := 0; it < 12; it++ {
-		in := admissInstance(rng, 6, 1, 0)
-		target := in.Sinks[0]
-		tp := in.G.Pt(target.V)
-		box := geom.Rect{X0: tp.X, Y0: tp.Y, X1: tp.X, Y1: tp.Y}
-
-		plain := future.New(in.C)
-		plain.SetTargets([]geom.Rect{box})
-		sharp := future.New(in.C)
-		sharp.AttachLandmarks(future.NewLandmarks(in.G, in.C, in.Win))
-		sharp.SetTargets([]geom.Rect{box})
-
-		for trial := 0; trial < 6; trial++ {
-			v := in.G.At(rng.Int32N(6), rng.Int32N(6), rng.Int32N(3))
-			w := rng.Float64() * 2
-			// True remaining cost: single-sink DP from the pseudo-source v
-			// (weight w) to a root placed at the target.
-			single := &nets.Instance{
-				G: in.G, C: in.C, Root: target.V, Win: in.Win,
-				Sinks: []nets.Sink{{V: v, W: w}},
-			}
-			res, err := exact.Solve(single)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := res.LowerBound
-			for name, e := range map[string]*future.Estimator{"plain": plain, "landmark": sharp} {
-				if got := e.Est(in.G.Pt(v), w); got > want+1e-9*(1+want) {
-					t.Fatalf("it %d %s: Est = %v exceeds true remaining cost %v", it, name, got, want)
-				}
 			}
 		}
 	}

@@ -1,3 +1,14 @@
+// Package future provides the admissible future-cost bound of the
+// goal-oriented exact tier (internal/exact): MaskEstimator lower-bounds
+// the cost of completing a Dreyfus–Wagner state (sink mask, vertex) into
+// a full cost-distance tree, so a best-first label search settles states
+// in an order that keeps its result optimal. Congestion is bounded
+// geometrically by the price floor and delay by L1 distance times the
+// fastest layer/wire-type combination.
+//
+// The cost-distance oracle (internal/core) does not use this package:
+// its §III-C A* bound is a one-line geometric bound computed in place
+// against the alive components' bounding boxes.
 package future
 
 import (

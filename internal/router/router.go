@@ -220,8 +220,7 @@ func DefaultOptions() Options {
 
 // scratchPool hands each routing worker a private core.Scratch arena so
 // every rip-up-and-reroute wave re-solves its nets without re-allocating
-// solver state. Pools persist across waves (and, via RouteAll, across
-// chips of a suite).
+// solver state. A pool persists across all waves of one route.
 type scratchPool struct {
 	scr []*core.Scratch
 	// re holds the matching per-worker repair workspaces; allocated
@@ -423,7 +422,7 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 
 // Route runs the full flow on the chip with the given oracle driver.
 func Route(chip *chipgen.Chip, m Method, opt Options) (*Result, error) {
-	return routeWith(context.Background(), chip, m, opt, &scratchPool{})
+	return RouteCtx(context.Background(), chip, m, opt)
 }
 
 // RouteCtx is Route with cancellation: the context is checked between
@@ -434,12 +433,7 @@ func RouteCtx(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return routeWith(ctx, chip, m, opt, &scratchPool{})
-}
-
-// routeWith runs one cold route on a caller-provided scratch pool.
-func routeWith(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*Result, error) {
-	r, err := newRun(ctx, chip, m, opt, pool)
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -466,34 +460,4 @@ func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
 	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: lbif}
 	tr, _, _, err := drv.solve(in, &env, nil)
 	return tr, err
-}
-
-// RouteAll routes every chip of a suite with one method, returning rows
-// in suite order. It exists for the Tables IV/V harness. One worker
-// scratch pool is shared across all chips, so solver state is recycled
-// suite-wide, not just within one chip's waves.
-func RouteAll(chips []*chipgen.Chip, m Method, opt Options) ([]Metrics, error) {
-	return RouteAllCtx(context.Background(), chips, m, opt)
-}
-
-// RouteAllCtx is RouteAll with cancellation; the context propagates into
-// every chip's waves, so a cancelled suite run stops within one
-// net-solve latency and returns ctx.Err() unwrapped.
-func RouteAllCtx(ctx context.Context, chips []*chipgen.Chip, m Method, opt Options) ([]Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]Metrics, len(chips))
-	pool := &scratchPool{}
-	for i, chip := range chips {
-		r, err := routeWith(ctx, chip, m, opt, pool)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("%s/%s: %w", chip.Spec.Name, m, err)
-		}
-		out[i] = r.Metrics
-	}
-	return out, nil
 }

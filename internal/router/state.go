@@ -200,7 +200,7 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, err := newRun(ctx, chip, m, opt, &scratchPool{})
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,7 +240,7 @@ func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt
 	if st == nil {
 		return nil, nil, fmt.Errorf("router: RouteFrom needs a checkpoint state (use Route for cold starts)")
 	}
-	r, err := newRunFrom(ctx, st, chip, m, opt, &scratchPool{})
+	r, err := newRunFrom(ctx, st, chip, m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -255,14 +255,14 @@ func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt
 // also computes the cold-init timing for nets the diff rejects) with
 // the checkpoint's state restored on top and the first wave's dirty
 // seed derived from the instance diff.
-func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*runState, error) {
+func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
 	if err := st.CompatibleWith(chip.G); err != nil {
 		return nil, err
 	}
 	// Warm starts always run the dirty-net scheduler — without it there
 	// is no machinery to skip clean nets or replay their usage.
 	opt.Incremental = true
-	r, err := newRun(ctx, chip, m, opt, pool)
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := newRun(context.Background(), chip, CD, opt, &scratchPool{})
+	r, err := newRun(context.Background(), chip, CD, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,9 @@ type runState struct {
 // newRun assembles the cold-start state: fresh multipliers, cached
 // trees empty, and the pre-wave timing estimate seeding every sink's
 // delay weight and budget.
-func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*runState, error) {
+func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
 	r := &runState{
-		ctx: ctx, chip: chip, m: m, opt: opt, pool: pool,
+		ctx: ctx, chip: chip, m: m, opt: opt, pool: &scratchPool{},
 		start: time.Now(),
 	}
 	g := chip.G
@@ -90,7 +90,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 	if r.threads <= 0 {
 		r.threads = runtime.GOMAXPROCS(0)
 	}
-	pool.grow(r.threads)
+	r.pool.grow(r.threads)
 	drv, err := newDriver(m, opt)
 	if err != nil {
 		return nil, err

@@ -23,16 +23,18 @@
 //     a scratch arena so repeated solves stop allocating, and SolveBatch
 //     fans instances across parallel workers with bit-identical results
 //     to a sequential loop (see batch.go);
-//   - an incremental routing engine (RouterOptions.Incremental): after
-//     the first rip-up-and-reroute wave only nets invalidated by
-//     congestion or timing price changes are re-solved, with cache and
-//     delta counters reported in RouteMetrics. The disabled path is
-//     bit-identical to full re-solving. RouterOptions.RepairTol ≥ 0
-//     adds a topology-repair rung between replay and full re-solve: a
-//     net dirtied only by price drift is first re-embedded optimally on
-//     its cached topology (internal/reembed) and escalates to the
-//     oracle only when the repair degrades past tolerance
-//     (RouteMetrics.NetsRepaired / RepairEscalated);
+//   - one wave engine, a dirty-net scheduler, behind every route. With
+//     RouterOptions.Incremental on, after the first rip-up-and-reroute
+//     wave only nets invalidated by congestion or timing price changes
+//     are re-solved, with cache and delta counters reported in
+//     RouteMetrics; off, the scheduler runs in full mode and re-solves
+//     every net every wave. Either way usage is replayed in net order,
+//     so results do not depend on the worker count. With incremental
+//     scheduling, RouterOptions.RepairTol ≥ 0 adds a topology-repair
+//     rung between replay and full re-solve: a dirty net is first
+//     re-embedded optimally on its cached topology (internal/reembed)
+//     and escalates to the oracle only when the repair degrades past
+//     tolerance (RouteMetrics.NetsRepaired / RepairEscalated);
 //   - a pluggable oracle registry (internal/oracle) behind the Method
 //     type: every fixed method is a registry lookup, the Auto driver
 //     picks an oracle per net from its timing criticality
@@ -311,7 +313,7 @@ func RouteChipCtxCheckpoint(ctx context.Context, chip *Chip, m Method, opt Route
 // checkpoint: the chip is diffed against the state (moved, added or
 // re-pinned nets; capacity edits), only the invalidated nets are
 // re-solved in the first wave, and later waves run the ordinary
-// incremental dirty-net scheduler under the restored congestion and
+// dirty-net scheduler under the restored congestion and
 // timing prices. An unperturbed warm start re-solves nothing and
 // reproduces the checkpointed result exactly. The returned state is
 // the new run's checkpoint, so ECO chains compose.

@@ -6,6 +6,7 @@ package costdist
 //
 //	go test -fuzz FuzzParseInstance -fuzztime 30s .
 //	go test -fuzz FuzzMarshalTreeRoundTrip -fuzztime 30s .
+//	go test -fuzz FuzzUnmarshalCheckpoint -fuzztime 30s .
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -186,4 +188,60 @@ func TestUnmarshalTreeRejectsWrongDirection(t *testing.T) {
 	if _, err := UnmarshalTree(in, []byte(`{"edges": [[[0,0,0],[0,0,1]]], "wire_types": [-1]}`)); err != nil {
 		t.Fatalf("legal via edge rejected: %v", err)
 	}
+}
+
+// hugeGridCheckpoint claims a grid of 12e9 vertices and carries no
+// vectors at all: the decoder must refuse it before sizing any array
+// from nx and ny.
+const hugeGridCheckpoint = `{"version":1,"nx":2000000000,"ny":3,"layers":2,"layer_dirs":"HV"}`
+
+func TestUnmarshalCheckpointRejectsHugeGrid(t *testing.T) {
+	if _, err := UnmarshalCheckpoint([]byte(hugeGridCheckpoint)); err == nil {
+		t.Fatal("checkpoint of an oversized grid accepted")
+	}
+	// A grid that fits int32 but not the document: the capacity vector
+	// is empty, so the grid must be refused before it is allocated.
+	doc := `{"version":1,"nx":2000,"ny":2000,"layers":2,"layer_dirs":"HV"}`
+	if _, err := UnmarshalCheckpoint([]byte(doc)); err == nil {
+		t.Fatal("checkpoint without capacity vector accepted")
+	}
+}
+
+// FuzzUnmarshalCheckpoint asserts the checkpoint decoder never panics
+// and that every accepted document re-marshals to bytes that decode to
+// the same state.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	chip, err := GenerateChip(ChipSuite(0.002)[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	opt := DefaultRouterOptions()
+	opt.Waves = 2
+	_, st, err := RouteChipCheckpoint(chip, CD, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := MarshalCheckpoint(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte(hugeGridCheckpoint))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		out, err := MarshalCheckpoint(st)
+		if err != nil {
+			t.Fatalf("re-marshal of an accepted checkpoint failed: %v", err)
+		}
+		back, err := UnmarshalCheckpoint(out)
+		if err != nil {
+			t.Fatalf("decode of own output failed: %v", err)
+		}
+		if !reflect.DeepEqual(st, back) {
+			t.Fatal("checkpoint changed across the round trip")
+		}
+	})
 }

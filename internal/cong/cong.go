@@ -36,13 +36,6 @@ func (u *Usage) AddArc(a grid.Arc) {
 	u.U[a.Seg] += u.G.ArcCapUse(a)
 }
 
-// AddFrom accumulates other into u.
-func (u *Usage) AddFrom(other *Usage) {
-	for i, v := range other.U {
-		u.U[i] += v
-	}
-}
-
 // WirelengthM returns the total routed track length in meters (vias
 // excluded): capacity units consumed per segment times the gcell pitch,
 // so wide wires count their full track usage, as foundry wirelength

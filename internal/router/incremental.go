@@ -17,11 +17,11 @@ import (
 // move the cached tree's own cost and leave it in place.
 const incHalo = 1
 
-// incState is the dirty-net scheduler of the incremental routing engine.
-// Across waves it keeps, per net, the inputs its cached tree was solved
-// under — delay weights, budgets and the tree's priced congestion cost —
-// plus the plane region the tree occupies, and chip-wide a reference
-// snapshot of the congestion multipliers (cong.DeltaTracker).
+// incState is the dirty-net scheduler, the one wave engine every route
+// runs. Across waves it keeps, per net, the inputs its cached tree was
+// solved under — delay weights, budgets and the tree's priced congestion
+// cost — plus the plane region the tree occupies, and chip-wide a
+// reference snapshot of the congestion multipliers (cong.DeltaTracker).
 //
 // Invalidation runs in two stages each wave:
 //
@@ -51,9 +51,14 @@ const incHalo = 1
 // tolerance knob trades against re-solve volume; the pricer keeps
 // raising genuinely overloaded segments until every net crossing them
 // goes dirty, so congestion violations cannot hide behind the cache.
+//
+// A negative tolerance selects full mode, which is how cold routes with
+// Options.Incremental off run: every wave after the seeded warm wave (if
+// any) re-solves every net, no deltas are tracked and the repair rung
+// stays off.
 type incState struct {
 	g       *grid.Graph
-	tol     float64
+	tol     float64 // < 0: full mode
 	drv     *driver
 	tracker *cong.DeltaTracker
 	// regions[ni] is the candidate region of net ni: cached tree bbox
@@ -113,22 +118,6 @@ type incState struct {
 	// O(n log n) rebuild disappears from the steady state.
 	ix      *nets.WindowIndex
 	ixDirty atomic.Bool
-
-	// steps[ni] caches net ni's embedded tree decomposed into flat
-	// per-step arrays — segment id, congestion base cost, capacity
-	// consumed — in tree step order. Repricing a candidate tree and
-	// replaying a clean net's usage become tight array loops instead of
-	// walks that re-derive both quantities from each grid.Arc; the
-	// accumulation order is the step order either way, so the floating-
-	// point results are bitwise unchanged.
-	steps []netSteps
-}
-
-// netSteps is one cached tree's flat step decomposition.
-type netSteps struct {
-	segs   []int32
-	base   []float64 // ArcCost(step) = Mult[segs[i]] * base[i]
-	capUse []float32 // Usage.AddArc adds capUse[i] to segs[i]
 }
 
 // newIncState builds the scheduler for one chip.
@@ -156,9 +145,8 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 		cand:       make([]bool, len(nl.Nets)),
 		dirty:      make([]bool, len(nl.Nets)),
 		repair:     make([]bool, len(nl.Nets)),
-		repairOn:   opt.RepairTol >= 0,
+		repairOn:   opt.RepairTol >= 0 && opt.IncrementalTol >= 0,
 		fullCost:   make([]float64, len(nl.Nets)),
-		steps:      make([]netSteps, len(nl.Nets)),
 	}
 	for i := range s.lastOracle {
 		s.lastOracle[i] = -1
@@ -178,9 +166,11 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 	return s
 }
 
+// full reports full mode: every net is dirty every wave.
+func (s *incState) full() bool { return s.tol < 0 }
+
 // drifted reports whether cur moved beyond the relative tolerance from
-// the snapshot value. A negative tolerance reports every pair as
-// drifted, including identical ones (the forced full re-solve mode).
+// the snapshot value.
 func (s *incState) drifted(cur, snap float64) bool {
 	return math.Abs(cur-snap) > s.tol*math.Abs(snap)
 }
@@ -190,7 +180,8 @@ func (s *incState) drifted(cur, snap float64) bool {
 // tolerance (the wave's delta volume). The delta normally arrives
 // pre-computed from the previous wave's fused price update (stashDelta);
 // the tracker sweep here is the fallback for wave 0 and for waves after
-// a quiesce. The region index is rebuilt only when some net's candidate
+// a quiesce. In full mode the list is every net and the delta volume
+// zero. The region index is rebuilt only when some net's candidate
 // region actually moved since the last build — re-solves that keep
 // their bounding box, and waves that skip everything, reuse it.
 func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights, budgets [][]float64) (work []int32, deltaSegs int) {
@@ -213,6 +204,12 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 			}
 		}
 		s.seed = nil
+		return work, 0
+	}
+	if s.full() {
+		for ni := range s.dirty {
+			work = append(work, int32(ni))
+		}
 		return work, 0
 	}
 	var rects []geom.Rect
@@ -238,13 +235,10 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 			continue
 		}
 		if s.cand[ni] {
-			// Reprice the cached tree under the current multipliers: the
-			// flat step cache yields the same sum, in the same order, as
-			// walking the tree through costs.ArcCost.
-			sc := &s.steps[ni]
+			// Reprice the cached tree under the current multipliers.
 			cur := 0.0
-			for i, seg := range sc.segs {
-				cur += float64(costs.Mult[seg]) * sc.base[i]
+			for _, st := range trees[ni].Steps {
+				cur += costs.ArcCost(st.Arc)
 			}
 			if s.drifted(cur, s.lastCost[ni]) {
 				s.dirty[ni] = true
@@ -335,7 +329,6 @@ func (s *incState) noteSolved(ni int, w, b []float64, tr *nets.RTree, congCost f
 	s.lastCost[ni] = congCost
 	s.lastOracle[ni] = int16(oracleIdx)
 	s.setRegion(ni, tr)
-	s.buildSteps(ni, tr)
 }
 
 // noteFullSolve is noteSolved for a full oracle solve: it additionally
@@ -361,44 +354,6 @@ func (s *incState) setRegion(ni int, tr *nets.RTree) {
 	}
 }
 
-// buildSteps (re)derives net ni's flat step cache from its tree.
-func (s *incState) buildSteps(ni int, tr *nets.RTree) {
-	sc := &s.steps[ni]
-	sc.segs = sc.segs[:0]
-	sc.base = sc.base[:0]
-	sc.capUse = sc.capUse[:0]
-	for _, st := range tr.Steps {
-		a := st.Arc
-		var base float64
-		if a.Via {
-			base = s.g.Layers[a.L].ViaCost
-		} else {
-			base = s.g.Layers[a.L].Wires[a.WT].CostPerGCell
-		}
-		sc.segs = append(sc.segs, a.Seg)
-		sc.base = append(sc.base, base)
-		sc.capUse = append(sc.capUse, s.g.ArcCapUse(a))
-	}
-}
-
-// replayUsage accumulates the capacity consumption of every cached tree
-// into u, in net order then step order — the same float32 additions, in
-// the same order, as walking each tree through Usage.AddArc.
-func (s *incState) replayUsage(u *cong.Usage, trees []*nets.RTree) {
-	for ni, tr := range trees {
-		if tr == nil {
-			continue
-		}
-		sc := &s.steps[ni]
-		if len(sc.segs) != len(tr.Steps) {
-			s.buildSteps(ni, tr)
-		}
-		for i, seg := range sc.segs {
-			u.U[seg] += sc.capUse[i]
-		}
-	}
-}
-
 // stashDelta hands computeDirty the changed-region result of the fused
 // end-of-wave price update, so the next wave skips its tracker sweep.
 func (s *incState) stashDelta(rects []geom.Rect, segs int) {
@@ -418,7 +373,6 @@ func (s *incState) restoreNet(ni int, w, b []float64, lastCost float64, oracleId
 	s.fullCost[ni] = lastCost
 	s.lastOracle[ni] = int16(oracleIdx)
 	s.setRegion(ni, tr)
-	s.buildSteps(ni, tr)
 }
 
 // seedDirty arms the seeded-wave mode: the next computeDirty call

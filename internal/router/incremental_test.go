@@ -1,7 +1,10 @@
 package router
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -18,34 +21,51 @@ func metricsEqual(a, b Metrics) bool {
 		slices.Equal(a.DeltaSegsPerWave, b.DeltaSegsPerWave)
 }
 
-// With a negative tolerance every net is forced dirty every wave — no
-// cache hit ever happens — and the incremental engine must reproduce
-// the non-incremental run bit for bit.
+// Incremental off is the scheduler's full mode, the same engine as an
+// explicit negative tolerance: metrics, trees and checkpoints must agree
+// bit for bit, with or without the repair rung requested and under
+// single- and multi-oracle drivers.
 func TestIncrementalNoSkipBitIdentical(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
-	opt := DefaultOptions()
-	opt.Waves = 3
-	opt.Threads = 2
-	full, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Incremental = true
-	opt.IncrementalTol = -1
-	forced, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Metrics.NetsSkipped != 0 {
-		t.Fatalf("forced mode skipped %d nets", forced.Metrics.NetsSkipped)
-	}
-	f, g := full.Metrics, forced.Metrics
-	if f.WS != g.WS || f.TNS != g.TNS || f.ACE4 != g.ACE4 || f.WLm != g.WLm ||
-		f.Vias != g.Vias || f.Overflow != g.Overflow || f.Objective != g.Objective {
-		t.Fatalf("no-skip incremental diverged:\nfull   %+v\nforced %+v", f, g)
-	}
-	if f.NetsSolved != g.NetsSolved {
-		t.Fatalf("solve counts differ: %d vs %d", f.NetsSolved, g.NetsSolved)
+	for _, m := range []Method{CD, Auto} {
+		for _, repairTol := range []float64{-1, 0.25} {
+			t.Run(fmt.Sprintf("%s/repair=%g", m.Name(), repairTol), func(t *testing.T) {
+				opt := DefaultOptions()
+				opt.Waves = 3
+				opt.Threads = 2
+				opt.RepairTol = repairTol
+				full, fullSt, err := RouteCheckpoint(context.Background(), chip, m, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.Incremental = true
+				opt.IncrementalTol = -1
+				forced, forcedSt, err := RouteCheckpoint(context.Background(), chip, m, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fm := forced.Metrics; fm.NetsSkipped != 0 || fm.NetsRepaired != 0 || fm.RepairEscalated != 0 {
+					t.Fatalf("full mode skipped or attempted repairs: %+v", fm)
+				}
+				for _, mt := range []*Metrics{&full.Metrics, &forced.Metrics, &fullSt.Metrics, &forcedSt.Metrics} {
+					mt.Walltime = 0
+				}
+				if !reflect.DeepEqual(full.Metrics, forced.Metrics) {
+					t.Fatalf("metrics diverged:\nfull   %+v\nforced %+v", full.Metrics, forced.Metrics)
+				}
+				if !reflect.DeepEqual(full.Trees, forced.Trees) {
+					t.Fatal("trees diverged")
+				}
+				if !reflect.DeepEqual(fullSt, forcedSt) {
+					t.Fatal("checkpoints diverged")
+				}
+				for ni, ns := range fullSt.Nets {
+					if ns.Tree != nil && ns.Oracle == "" {
+						t.Fatalf("net %d: checkpoint lacks the producing oracle", ni)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -113,7 +133,7 @@ func TestIncrementalDeterministicAcrossThreadCounts(t *testing.T) {
 	}
 }
 
-// The work-avoidance counters are reported in non-incremental runs too:
+// The work-avoidance counters are reported in full-mode runs too:
 // every net solved, nothing skipped, no deltas tracked.
 func TestFullModeCounters(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)

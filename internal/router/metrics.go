@@ -29,20 +29,20 @@ type Metrics struct {
 	// Objective is the summed paper objective (1) of the final trees —
 	// congestion cost under the final multipliers plus weighted sink
 	// delay under the final weights. It is the scalar the incremental
-	// and full engines are compared on.
+	// and full modes are compared on.
 	Objective float64
 
 	// NetsSolved counts oracle solves summed over all waves; NetsSkipped
 	// counts cache hits — nets that kept their cached tree because the
-	// dirty-net scheduler found no relevant price change. With
-	// Incremental off every net is solved every wave and NetsSkipped is
-	// zero.
+	// dirty-net scheduler found no relevant price change. In full mode
+	// (Incremental off, or IncrementalTol < 0) every net is solved every
+	// wave and NetsSkipped is zero.
 	NetsSolved  int64
 	NetsSkipped int64
 	// SolvedPerWave and SkippedPerWave split the counters by wave;
 	// DeltaSegsPerWave is the wave's delta volume — congestion segments
-	// whose multiplier moved beyond tolerance (always zero with
-	// Incremental off, where deltas are not tracked).
+	// whose multiplier moved beyond tolerance (always zero in full mode,
+	// where deltas are not tracked, and in a seeded warm wave).
 	SolvedPerWave    []int
 	SkippedPerWave   []int
 	DeltaSegsPerWave []int
@@ -51,9 +51,10 @@ type Metrics struct {
 	// rung (fixed-topology re-embedding adopted, no oracle solve);
 	// RepairEscalated counts repair attempts that fell through to a full
 	// solve (those nets are also in NetsSolved). Both stay zero unless
-	// Options.RepairTol ≥ 0. RepairedPerWave and EscalatedPerWave split
-	// the counters by wave; they are only populated when the rung is
-	// enabled, so disabled runs keep their legacy wire form.
+	// Options.RepairTol ≥ 0 outside full mode. RepairedPerWave and
+	// EscalatedPerWave split the counters by wave; they are only
+	// populated when the rung is enabled, so disabled runs keep their
+	// legacy wire form.
 	NetsRepaired     int64
 	RepairEscalated  int64
 	RepairedPerWave  []int

@@ -141,33 +141,32 @@ type Options struct {
 	PDAlpha float64
 	SLEps   float64
 
-	// CaptureWave, when ≥ 0, snapshots every routed net of that wave as
-	// a standalone cost-distance instance (for Tables I and II). In
-	// incremental mode only the nets actually re-solved in that wave are
-	// captured.
+	// CaptureWave, when ≥ 0, snapshots every net solved by the oracle in
+	// that wave as a standalone cost-distance instance (for Tables I and
+	// II). Nets the scheduler skips or repairs are not captured.
 	CaptureWave int
 
-	// Incremental enables the dirty-net scheduler: after wave 0 only
-	// nets invalidated by congestion or timing price changes are ripped
-	// up and re-solved; clean nets keep their cached tree. Off by
-	// default; the disabled path is bit-identical to a full re-solve of
-	// every net in every wave. Warm-started runs (RouteFrom) always use
-	// the scheduler regardless of this flag.
+	// Every route runs the dirty-net scheduler. Incremental chooses its
+	// mode for cold runs: on, after wave 0 only nets invalidated by
+	// congestion or timing price changes are ripped up and re-solved and
+	// clean nets keep their cached tree; off (the default), the run is
+	// in full mode — IncrementalTol is taken as −1. Warm-started runs
+	// (RouteFrom) ignore this flag and use IncrementalTol as given.
 	Incremental bool
 	// IncrementalTol is the relative tolerance of the invalidation rule:
 	// a congestion multiplier or sink timing value counts as changed
 	// when it moved by more than IncrementalTol relative to the snapshot
-	// the net was last solved under. 0 invalidates on any change; a
-	// negative value forces every net dirty every wave (no skips).
+	// the net was last solved under. 0 invalidates on any change. A
+	// negative value is full mode: every net is re-solved every wave, no
+	// deltas are tracked and the repair rung is off.
 	IncrementalTol float64
-	// RepairTol enables the topology-repair rung of the incremental
-	// scheduler: a net invalidated only by congestion-price drift (pins,
-	// weights and budgets unchanged) is first re-embedded on its cached
-	// topology (internal/reembed) and escalates to a full oracle solve
-	// only when the repaired cost still exceeds (1+RepairTol) times the
-	// net's last full-solve cost, or a delay budget is violated.
-	// Negative (the default) disables the rung entirely: every dirty net
-	// escalates, reproducing the two-rung scheduler bit-for-bit.
+	// RepairTol enables the topology-repair rung of the scheduler
+	// outside full mode: a dirty net whose oracle choice and budget
+	// shape are unchanged is first re-embedded on its cached topology
+	// (internal/reembed) and escalates to a full oracle solve only when
+	// the repaired cost still exceeds (1+RepairTol) times the net's last
+	// full-solve cost, or a delay budget is violated. Negative (the
+	// default) disables the rung entirely: every dirty net escalates.
 	RepairTol float64
 
 	// Selection configures the Auto selector's criticality bands and

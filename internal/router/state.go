@@ -84,8 +84,8 @@ type NetState struct {
 	// LastCost is Tree's congestion cost under Mult.
 	LastCost float64
 	// Oracle is the registry name of the oracle that produced Tree
-	// ("" when unknown — e.g. a full-engine run under a multi-oracle
-	// driver); unknown provenance makes drift checks conservative.
+	// ("" when unknown); unknown provenance makes drift checks
+	// conservative.
 	Oracle string
 	// Tree is the cached embedded tree (nil if the net was never
 	// routed).
@@ -171,11 +171,10 @@ func (r *runState) Checkpoint() *State {
 }
 
 // producingOracle names the oracle behind net ni's cached tree: the
-// scheduler's record when the run tracked one, the fixed oracle for
-// single-oracle runs, "" otherwise (multi-oracle full-engine runs do
-// not record per-net provenance).
+// scheduler's record, else the fixed oracle of a single-oracle run, else
+// "" (a tree restored from a checkpoint that did not know its oracle).
 func (r *runState) producingOracle(ni int) string {
-	if r.inc != nil && r.inc.lastOracle[ni] >= 0 {
+	if r.inc.lastOracle[ni] >= 0 {
 		return r.drv.names[r.inc.lastOracle[ni]]
 	}
 	if r.drv.fixed >= 0 {
@@ -223,14 +222,15 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 // already converged), which makes an unperturbed warm start a no-op
 // reproducing the checkpointed result exactly.
 //
-// The warm run always uses the dirty-net scheduler regardless of
-// opt.Incremental; a negative opt.IncrementalTol still forces every
-// net dirty (a full re-solve that only reuses the restored prices).
-// With opt.RepairTol ≥ 0, seeded nets whose pin signature matched at
-// restore time — invalidated purely by the capacity/price diff — take
-// the topology-repair rung first and only escalate to a full oracle
-// solve when the repair degrades past tolerance; pin-changed and added
-// nets have no usable cached tree and always solve in full.
+// The warm run honours opt.IncrementalTol whatever opt.Incremental
+// says: a negative tolerance is full mode, where every wave after the
+// seeded one re-solves every net and the repair rung stays off. With
+// opt.IncrementalTol ≥ 0 and opt.RepairTol ≥ 0, seeded nets whose pin
+// signature matched at restore time — invalidated purely by the
+// capacity/price diff — take the topology-repair rung first and only
+// escalate to a full oracle solve when the repair degrades past
+// tolerance; pin-changed and added nets have no usable cached tree and
+// always solve in full.
 // The returned State is the new run's checkpoint, so ECO chains can
 // warm-start from warm starts.
 func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options) (*Result, *State, error) {
@@ -259,8 +259,8 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	if err := st.CompatibleWith(chip.G); err != nil {
 		return nil, err
 	}
-	// Warm starts always run the dirty-net scheduler — without it there
-	// is no machinery to skip clean nets or replay their usage.
+	// Incremental off would force full mode; a warm start keeps the
+	// caller's tolerance so clean restored nets are skipped.
 	opt.Incremental = true
 	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {

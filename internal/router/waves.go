@@ -45,8 +45,7 @@ type runState struct {
 	budgets [][]float64
 	trees   []*nets.RTree
 
-	allNets []int32
-	inc     *incState
+	inc *incState
 
 	// workerCounts are per-worker oracle invocation counters, indexed
 	// like drv.names and summed after the waves — addition commutes, so
@@ -154,15 +153,12 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 		}
 	}
 
-	// The full work list; incremental waves replace it with the dirty
-	// subset.
-	r.allNets = make([]int32, nNets)
-	for i := range r.allNets {
-		r.allNets[i] = int32(i)
+	// Every route runs the dirty-net scheduler; a cold run with
+	// Incremental off is its full mode.
+	if !opt.Incremental {
+		r.opt.IncrementalTol = -1
 	}
-	if opt.Incremental {
-		r.inc = newIncState(chip, drv, opt)
-	}
+	r.inc = newIncState(chip, drv, r.opt)
 
 	r.workerCounts = make([][]int64, r.threads)
 	for i := range r.workerCounts {
@@ -176,8 +172,8 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 }
 
 // runWaves executes opt.Waves rip-up-and-reroute iterations on the
-// state: dirty-net scheduling (incremental mode), the parallel per-net
-// oracle solves, usage accounting and the Lagrangean price updates.
+// state: dirty-net scheduling, the parallel per-net oracle solves, usage
+// accounting and the Lagrangean price updates.
 func (r *runState) runWaves() error {
 	ctx, chip, opt, drv := r.ctx, r.chip, r.opt, r.drv
 	g := chip.G
@@ -194,20 +190,15 @@ func (r *runState) runWaves() error {
 		costs := r.pricer.Costs()
 		capture := wave == opt.CaptureWave
 
-		work := r.allNets
-		deltaSegs := 0
-		if r.inc != nil {
-			// Dirty-net scheduling: invalidate nets whose cached tree got
-			// repriced or whose timing inputs drifted. Wave 0 marks every
-			// net dirty (nothing has been solved yet); a warm-started run
-			// instead seeds wave 0 with the instance diff.
-			dirtyT0 := rec.Now()
-			work, deltaSegs = r.inc.computeDirty(costs, r.trees, r.weights, r.budgets)
-			rec.Span(obs.StageDirty, int32(wave), -1, "", dirtyT0)
-		}
+		// Dirty-net scheduling: invalidate nets whose cached tree got
+		// repriced or whose timing inputs drifted. Wave 0 marks every net
+		// dirty (nothing has been solved yet); a warm-started run instead
+		// seeds wave 0 with the instance diff.
+		dirtyT0 := rec.Now()
+		work, deltaSegs := r.inc.computeDirty(costs, r.trees, r.weights, r.budgets)
+		rec.Span(obs.StageDirty, int32(wave), -1, "", dirtyT0)
 		nWork := len(work)
 
-		workerUsage := make([]*cong.Usage, threads)
 		workerErr := make([]error, threads)
 		captured := make([][]*nets.Instance, threads)
 		// Per-worker repair tallies: workers write disjoint indices and
@@ -218,9 +209,6 @@ func (r *runState) runWaves() error {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
-			if r.inc == nil {
-				workerUsage[w] = cong.NewUsage(g)
-			}
 			wg.Add(1)
 			go func(worker int) {
 				defer wg.Done()
@@ -259,7 +247,7 @@ func (r *runState) runWaves() error {
 					ni := int(work[idx])
 					in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt)
 					in.Budgets = r.budgets[ni]
-					if r.inc != nil && r.inc.repair[ni] {
+					if r.inc.repair[ni] {
 						// The middle rung: re-embed the cached topology
 						// under the current prices. Adopted repairs skip
 						// the oracle (and the capture hook — they are not
@@ -309,17 +297,10 @@ func (r *runState) runWaves() error {
 					}
 					r.trees[ni] = tr
 					copy(r.delays[ni], ev.SinkDelay)
-					if r.inc == nil {
-						for _, st := range tr.Steps {
-							workerUsage[worker].AddArc(st.Arc)
-						}
-					} else {
-						// Snapshot the inputs this solve consumed, the new
-						// tree's cost and region, and which oracle produced
-						// it; workers touch disjoint nets, so this is
-						// race-free.
-						r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
-					}
+					// Snapshot the inputs this solve consumed, the new
+					// tree's cost and region, and which oracle produced it;
+					// workers touch disjoint nets, so this is race-free.
+					r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
 					if capture && len(in.Sinks) >= 1 {
 						captured[worker] = append(captured[worker], snapshot(in))
 					}
@@ -335,20 +316,19 @@ func (r *runState) runWaves() error {
 				return err
 			}
 		}
+		// Skipped nets keep their cached tree but still occupy their
+		// tracks: rebuild usage from every tree, cached or fresh, in net
+		// order — deterministic regardless of worker count or of which
+		// nets were skipped.
 		replayT0 := rec.Now()
-		if r.inc == nil {
-			r.usage = cong.NewUsage(g)
-			for _, wu := range workerUsage {
-				r.usage.AddFrom(wu)
+		r.usage = cong.NewUsage(g)
+		for _, tr := range r.trees {
+			if tr == nil {
+				continue
 			}
-		} else {
-			// Skipped nets keep their cached tree but still occupy their
-			// tracks: rebuild usage from every tree, cached or fresh, in
-			// net order — deterministic regardless of worker count or of
-			// which nets were skipped. The scheduler's flat step caches
-			// replay each tree without re-deriving per-arc capacities.
-			r.usage = cong.NewUsage(g)
-			r.inc.replayUsage(r.usage, r.trees)
+			for _, st := range tr.Steps {
+				r.usage.AddArc(st.Arc)
+			}
 		}
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
 		nRepaired, nEscalated := 0, 0
@@ -363,7 +343,7 @@ func (r *runState) runWaves() error {
 		r.res.Metrics.SolvedPerWave = append(r.res.Metrics.SolvedPerWave, nWork-nRepaired)
 		r.res.Metrics.SkippedPerWave = append(r.res.Metrics.SkippedPerWave, nNets-nWork)
 		r.res.Metrics.DeltaSegsPerWave = append(r.res.Metrics.DeltaSegsPerWave, deltaSegs)
-		if r.inc != nil && r.inc.repairOn {
+		if r.inc.repairOn {
 			r.res.Metrics.RepairedPerWave = append(r.res.Metrics.RepairedPerWave, nRepaired)
 			r.res.Metrics.EscalatedPerWave = append(r.res.Metrics.EscalatedPerWave, nEscalated)
 		}
@@ -382,13 +362,14 @@ func (r *runState) runWaves() error {
 			// Lagrangean updates: congestion prices, delay weights and the
 			// globally optimized per-sink delay budgets (routed delay plus
 			// the slack the endpoint can still afford) consumed by the
-			// shallow-light baseline, per ref [13]. When another incremental
-			// wave follows, the price update and the delta tracker's drift
-			// sweep fuse into one pass and the result is stashed for that
-			// wave's computeDirty; the last wave prices plainly, leaving the
-			// tracker exactly as the unfused engine would.
+			// shallow-light baseline, per ref [13]. When another wave
+			// follows outside full mode, the price update and the delta
+			// tracker's drift sweep fuse into one pass and the result is
+			// stashed for that wave's computeDirty; the last wave prices
+			// plainly, leaving the tracker exactly as the unfused engine
+			// would.
 			priceT0 := rec.Now()
-			if r.inc != nil && wave+1 < opt.Waves {
+			if !r.inc.full() && wave+1 < opt.Waves {
 				rects, segs := r.pricer.UpdateTracked(r.inc.tracker, r.usage)
 				r.inc.stashDelta(rects, segs)
 			} else {

@@ -495,7 +495,7 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("costdist: nil checkpoint state")
 	}
-	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs)
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap))
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +549,7 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 	if f.Version != CheckpointVersion {
 		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", f.Version, CheckpointVersion)
 	}
-	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs)
+	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap))
 	if err != nil {
 		return nil, err
 	}
@@ -607,17 +607,20 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 // checkpointGraph reconstructs the routing grid a checkpoint is bound
 // to: the default technology at the stored layer count. The stored
 // layer directions must match the reconstruction — checkpoints of
-// custom layer stacks have no wire form.
-func checkpointGraph(nx, ny int32, layers int, dirs string) (*grid.Graph, error) {
+// custom layer stacks have no wire form. The grid's segment count must
+// equal nSegs, the length of the stored capacity vector; checking that
+// before building the grid bounds the allocation by the document's own
+// size.
+func checkpointGraph(nx, ny int32, layers int, dirs string, nSegs int) (*grid.Graph, error) {
 	if nx < 1 || ny < 1 || layers < 2 || layers > 1024 {
 		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d invalid", nx, ny, layers)
 	}
 	tech := DefaultTech(layers)
-	g := NewGrid(nx, ny, tech.BuildLayers(), tech.GCellUM)
-	got := make([]byte, len(g.Layers))
-	for i := range g.Layers {
+	ls := tech.BuildLayers()
+	got := make([]byte, len(ls))
+	for i := range ls {
 		got[i] = 'H'
-		if g.Layers[i].Dir == grid.DirV {
+		if ls[i].Dir == grid.DirV {
 			got[i] = 'V'
 		}
 	}
@@ -625,7 +628,25 @@ func checkpointGraph(nx, ny int32, layers int, dirs string) (*grid.Graph, error)
 		return nil, fmt.Errorf("costdist: checkpoint layer directions %q do not match the default %d-layer stack %q",
 			dirs, layers, got)
 	}
-	return g, nil
+	// Vertex and segment ids are int32. Bounding the vertex count first
+	// keeps the segment count, at most twice it, from overflowing int64.
+	x, y := int64(nx), int64(ny)
+	if x*y > math.MaxInt32/int64(layers) {
+		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d too large", nx, ny, layers)
+	}
+	segs := (int64(layers) - 1) * x * y
+	for i := range ls {
+		if ls[i].Dir == grid.DirH {
+			segs += (x - 1) * y
+		} else {
+			segs += x * (y - 1)
+		}
+	}
+	if segs > math.MaxInt32 || segs != int64(nSegs) {
+		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d has %d segments, capacity vector has %d",
+			nx, ny, layers, segs, nSegs)
+	}
+	return NewGrid(nx, ny, ls, tech.GCellUM), nil
 }
 
 func vertexAt(g *grid.Graph, p [3]int32) (grid.V, error) {
